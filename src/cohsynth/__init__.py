@@ -47,7 +47,7 @@ from .states import (
     QuantumState,
     SystemSpec,
     TlsParams,
-    hamiltonian,
+    hamiltonian_diagonal,
     initial_coherence,
     initial_energy,
     mixed_product_state,
@@ -84,7 +84,7 @@ __all__ = [
     "ef_exact",
     "gain_report",
     "global_approx",
-    "hamiltonian",
+    "hamiltonian_diagonal",
     "initial_coherence",
     "initial_energy",
     "kraus_oracle",

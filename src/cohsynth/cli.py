@@ -3,8 +3,8 @@
 Subcommands: single (one experiment to stdout), sweep (grid to CSV/JSON),
 figure (regenerate a published data table), validate (cross-validation
 suite). Defaults may come from a JSON config file via --config; explicit
-flags win. The dense-size cap honours the COHSYNTH_MAX_TLS environment
-variable.
+flags win, and a key that names no flag of the subcommand is an error.
+The dense-size cap honours the COHSYNTH_MAX_TLS environment variable.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-def _eps_value(text: str | None):
-    if text is None:
-        return None
-    values = _float_list(text)
+def _eps_value(value):
+    """Dephasing factors from a flag ("0.9" or "0.9,0.8,1"); config values pass as is."""
+    if not isinstance(value, str):
+        return value
+    values = _float_list(value)
     return values[0] if len(values) == 1 else values
 
 
@@ -90,13 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> dict:
     """Start from the config file (if any); explicitly set flags override."""
     merged: dict = {}
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
-            merged.update(json.load(fh))
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {path}: expected a JSON object")
+        unknown = sorted(set(loaded) - set(flags))
+        if unknown:
+            raise ValueError(
+                f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                f"known keys: {', '.join(sorted(flags))}"
+            )
+        merged.update(loaded)
+    for key, value in flags.items():
         if value is not None:
             merged[key] = value
     return merged
@@ -111,8 +120,8 @@ def _cmd_single(args) -> int:
         int(cfg["n"]),
         float(cfg["p"]),
         cfg.get("protocol") or "pairwise",
-        _eps_value(cfg.get("pre_eps")) if isinstance(cfg.get("pre_eps"), str) else cfg.get("pre_eps"),
-        _eps_value(cfg.get("post_eps")) if isinstance(cfg.get("post_eps"), str) else cfg.get("post_eps"),
+        _eps_value(cfg.get("pre_eps")),
+        _eps_value(cfg.get("post_eps")),
         float(cfg.get("gap") or 1.0),
     )
     fmt = cfg.get("format") or "csv"
@@ -131,8 +140,8 @@ def _sweep_config(cfg: dict) -> SweepConfig:
         n_values=n_values,
         p_values=p_values,
         protocol=cfg.get("protocol") or "pairwise",
-        pre_epsilon=_eps_value(cfg.get("pre_eps")) if isinstance(cfg.get("pre_eps"), str) else cfg.get("pre_eps"),
-        post_epsilon=_eps_value(cfg.get("post_eps")) if isinstance(cfg.get("post_eps"), str) else cfg.get("post_eps"),
+        pre_epsilon=_eps_value(cfg.get("pre_eps")),
+        post_epsilon=_eps_value(cfg.get("post_eps")),
         rus_repetitions=rus,
         output_format=cfg.get("format") or "csv",
         output_path=cfg.get("out"),

@@ -28,27 +28,26 @@ def _clamp_residue(value: float, what: str) -> float:
     return value
 
 
-def average_energy(state: QuantumState, h: np.ndarray) -> float:
-    """Tr(rho H) for a density matrix, <psi|H|psi> for a pure state."""
-    h = np.asarray(h)
-    if h.shape != (state.dim, state.dim):
-        raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {state.dim}")
-    if state.is_pure:
-        value = np.vdot(state.vector, h @ state.vector)
-    else:
-        value = np.trace(state.matrix @ h)
-    if abs(value.imag) > 1e-10:
-        raise InvalidStateError(f"energy has imaginary residue {value.imag!r}")
-    return float(value.real)
+def average_energy(state: QuantumState, energies: np.ndarray) -> float:
+    """Tr(rho H) of a Hamiltonian diagonal in the basis, given its diagonal."""
+    energies = np.asarray(energies)
+    if energies.shape != (state.dim,):
+        raise ValueError(f"energy vector shape {energies.shape} does not match dim {state.dim}")
+    return float(state.populations() @ energies)
 
 
-def _matrix_coherence(rho: np.ndarray) -> float:
+def _matrix_coherence(
+    rho: np.ndarray, product_factors: tuple[np.ndarray, ...] | None = None
+) -> float:
     # exactly diagonal input short-circuits to 0 (spares the eigensolver
     # and its one-ulp summation-order residue)
-    if np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0:
+    if np.count_nonzero(rho) == np.count_nonzero(np.diag(rho)):
         return 0.0
     diag_entropy = linalg.entropy_of_probabilities(np.diag(rho).real)
-    return diag_entropy - linalg.von_neumann_entropy(rho)
+    if product_factors is None:
+        return diag_entropy - linalg.von_neumann_entropy(rho)
+    product_spectrum = linalg.product_spectrum(product_factors)
+    return diag_entropy - linalg.entropy_of_probabilities(product_spectrum)
 
 
 def rel_entropy_coherence(state: QuantumState) -> float:
@@ -57,7 +56,8 @@ def rel_entropy_coherence(state: QuantumState) -> float:
         return _clamp_residue(
             linalg.entropy_of_probabilities(state.populations()), "coherence"
         )
-    return _clamp_residue(_matrix_coherence(state.matrix), "coherence")
+    value = _matrix_coherence(state.matrix, state.product_factors)
+    return _clamp_residue(value, "coherence")
 
 
 def local_coherence(state: QuantumState) -> float:
@@ -71,42 +71,6 @@ def local_coherence(state: QuantumState) -> float:
 def mutual_coherence(state: QuantumState) -> float:
     """Global minus local coherence; zero for product states."""
     return rel_entropy_coherence(state) - local_coherence(state)
-
-
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """
-    Quantum relative entropy Tr(rho ln rho) - Tr(rho ln sigma) in nats.
-
-    sigma must have full support; support mismatch (singular sigma) is not
-    handled and raises InvalidStateError.
-    """
-    w_r, v_r = linalg.spectrum(rho)
-    w_s, v_s = linalg.spectrum(sigma)
-    if w_s.min() <= linalg.EIG_CLIP:
-        raise InvalidStateError("reference state must have full support")
-    term_r = -linalg.entropy_of_probabilities(w_r)
-    log_sigma = (v_s * np.log(w_s)) @ v_s.conj().T
-    term_s = np.trace(rho @ log_sigma).real
-    return float(term_r - term_s)
-
-
-def mutual_coherence_from_relative_entropies(state: QuantumState) -> float:
-    """
-    Mutual coherence as the gap between two relative-entropy distances:
-    distance of rho to the product of its marginals, minus the distance of
-    the dephased rho to the product of the dephased marginals.
-
-    Algebraically identical to :func:`mutual_coherence`; kept as an
-    independent cross-check. Requires the marginals to be non-degenerate
-    (full-support reference products).
-    """
-    rho = state.to_density_matrix()
-    marginals = [state.marginal(t) for t in range(1, state.n + 1)]
-    product = linalg.kron_all(marginals)
-    product_diag = linalg.kron_all([linalg.dephase_full(m) for m in marginals])
-    coherent_part = relative_entropy(rho, product)
-    diagonal_part = relative_entropy(linalg.dephase_full(rho), product_diag)
-    return coherent_part - diagonal_part
 
 
 @dataclass(frozen=True)
@@ -140,9 +104,9 @@ def gain_report(
         raise ValueError("initial/final/spec TLS counts differ")
     if not 0.0 < p_s <= 1.0:
         raise ProtocolImpossibleError(f"success probability {p_s!r} outside (0, 1]")
-    h = np.diag(hamiltonian_diagonal(spec).astype(complex))
-    e0 = average_energy(initial, h)
-    ef = average_energy(final, h)
+    energies = hamiltonian_diagonal(spec)
+    e0 = average_energy(initial, energies)
+    ef = average_energy(final, energies)
     c0 = rel_entropy_coherence(initial)
     cf = rel_entropy_coherence(final)
     c0_loc = local_coherence(initial)

@@ -1,10 +1,11 @@
-"""TLS system description, Hamiltonians and the product initial states.
+"""TLS system description, basis-state energies and the product initial states.
 
 Each TLS has energy gap E between ground and excited state, so a basis
-string with n_e excited systems carries energy (E/2)(2 n_e - N). Product
-inputs are either pure (amplitude sqrt(p) on the excited branch) or
-partially dephased mixtures whose off-diagonals are shrunk by a factor
-epsilon in [0, 1].
+string with n_e excited systems carries energy (E/2)(2 n_e - N). The
+Hamiltonian is diagonal in this basis and is only ever used through
+:func:`hamiltonian_diagonal`. Product inputs are either pure (amplitude
+sqrt(p) on the excited branch) or partially dephased mixtures whose
+off-diagonals are shrunk by a factor epsilon in [0, 1]; both are real.
 """
 
 from __future__ import annotations
@@ -61,21 +62,28 @@ class QuantumState:
     """
     State of N TLS, stored either as a state vector or a density matrix.
 
-    Construct via :meth:`pure` or :meth:`mixed`. Unit norm, Hermiticity and
+    Construct via :meth:`pure` or :meth:`mixed`. Real input stays real
+    (float64) and complex input stays complex. Unit norm, Hermiticity and
     unit trace are checked on construction; positivity is enforced wherever
     eigenvalues are consumed (entropies, spectra).
+
+    States built by :func:`pure_product_state` and
+    :func:`mixed_product_state` also carry their single-TLS density
+    matrices (:attr:`product_factors`); every other state, including any
+    state derived from a product state, has none.
     """
 
-    __slots__ = ("n", "vector", "matrix")
+    __slots__ = ("n", "vector", "matrix", "_factors")
 
     def __init__(self, n: int, vector: np.ndarray | None, matrix: np.ndarray | None):
         self.n = n
         self.vector = vector
         self.matrix = matrix
+        self._factors: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def pure(cls, vector: np.ndarray, n: int, *, validate: bool = True) -> "QuantumState":
-        vector = np.asarray(vector, dtype=complex)
+        vector = _real_or_complex(vector)
         if vector.shape != (2**n,):
             raise InvalidStateError(f"expected a vector of length {2**n}")
         if validate:
@@ -86,7 +94,7 @@ class QuantumState:
 
     @classmethod
     def mixed(cls, matrix: np.ndarray, n: int, *, validate: bool = True) -> "QuantumState":
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = _real_or_complex(matrix)
         if matrix.shape != (2**n, 2**n):
             raise InvalidStateError(f"expected a {2**n}x{2**n} matrix")
         if validate:
@@ -96,6 +104,11 @@ class QuantumState:
             if abs(tr - 1.0) > 1e-10:
                 raise InvalidStateError(f"trace {tr!r} != 1 beyond 1e-10")
         return cls(n, None, matrix)
+
+    @property
+    def product_factors(self) -> tuple[np.ndarray, ...] | None:
+        """Single-TLS 2x2 density matrices of a product input, TLS 1 first."""
+        return self._factors
 
     @property
     def is_pure(self) -> bool:
@@ -121,6 +134,8 @@ class QuantumState:
         """2x2 reduced density matrix of one TLS (1-based index)."""
         if not 1 <= tls <= self.n:
             raise ValueError(f"TLS index {tls} out of range 1..{self.n}")
+        if self._factors is not None:
+            return self._factors[tls - 1]
         if self.is_pure:
             # group the chosen TLS axis in front, contract the rest
             t = self.vector.reshape([2] * self.n)
@@ -138,9 +153,9 @@ def hamiltonian_diagonal(spec: SystemSpec) -> np.ndarray:
     return (spec.energy_gap / 2.0) * (2 * n_excited - spec.n)
 
 
-def hamiltonian(spec: SystemSpec) -> np.ndarray:
-    """Total Hamiltonian: diagonal matrix of basis-state energies."""
-    return np.diag(hamiltonian_diagonal(spec).astype(complex))
+def _real_or_complex(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
 
 
 def _check_params(spec: SystemSpec, params: Sequence[TlsParams]) -> None:
@@ -155,11 +170,13 @@ def pure_product_state(spec: SystemSpec, params: Sequence[TlsParams]) -> Quantum
     Amplitudes are real and nonnegative; any epsilon entries are ignored.
     """
     _check_params(spec, params)
-    amps = np.array([1.0], dtype=complex)
-    for t in params:
-        single = np.array([math.sqrt(1.0 - t.p), math.sqrt(t.p)], dtype=complex)
+    singles = [np.array([math.sqrt(1.0 - t.p), math.sqrt(t.p)]) for t in params]
+    amps = np.array([1.0])
+    for single in singles:
         amps = np.kron(amps, single)
-    return QuantumState.pure(amps, spec.n)
+    state = QuantumState.pure(amps, spec.n)
+    state._factors = tuple(np.outer(a, a) for a in singles)
+    return state
 
 
 def mixed_product_state(spec: SystemSpec, params: Sequence[TlsParams]) -> QuantumState:
@@ -168,12 +185,13 @@ def mixed_product_state(spec: SystemSpec, params: Sequence[TlsParams]) -> Quantu
     basis and off-diagonals epsilon * sqrt(p(1-p)).
     """
     _check_params(spec, params)
-    rho = np.array([[1.0]], dtype=complex)
+    singles = []
     for t in params:
         x = t.epsilon * math.sqrt(t.p * (1.0 - t.p))
-        single = np.array([[1.0 - t.p, x], [x, t.p]], dtype=complex)
-        rho = np.kron(rho, single)
-    return QuantumState.mixed(rho, spec.n)
+        singles.append(np.array([[1.0 - t.p, x], [x, t.p]]))
+    state = QuantumState.mixed(linalg.kron_all(singles), spec.n)
+    state._factors = tuple(singles)
+    return state
 
 
 def binary_entropy(p: float) -> float:

@@ -27,7 +27,7 @@ from .states import (
     QuantumState,
     SystemSpec,
     TlsParams,
-    hamiltonian,
+    hamiltonian_diagonal,
     pure_product_state,
     uniform_params,
 )
@@ -66,7 +66,7 @@ def check_oracle_equivalence() -> CriterionResult:
     for n in range(2, 11):
         spec = SystemSpec(n)
         plan = MeasurementPlan.chain(n)
-        h = hamiltonian(spec)
+        h = hamiltonian_diagonal(spec)
         for p in (0.005, 0.01, 0.05, 0.1, 0.3):
             outcome = apply_protocol(pure_product_state(spec, uniform_params(n, p)), plan)
             ef_sim = measures.average_energy(outcome.final_state, h)
@@ -196,7 +196,7 @@ def check_dephasing_channel_properties(seed: int = 1234) -> CriterionResult:
     rng = np.random.default_rng(seed)
     failures = []
     for n in range(2, 7):
-        h = hamiltonian(SystemSpec(n))
+        h = hamiltonian_diagonal(SystemSpec(n))
         plan = MeasurementPlan.chain(n)
         for _ in range(3):
             rho = QuantumState.mixed(linalg.random_density_matrix(n, rng), n)

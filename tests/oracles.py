@@ -2,8 +2,9 @@
 
 Everything enumerates basis strings as tuples of 'g'/'e' characters and
 works from first principles (product weights, direct marginal sums, dense
-eigendecompositions). Nothing here touches the package's bit masks or
-combinatorial shortcuts.
+complex 2^N x 2^N matrices and full eigendecompositions). Nothing here
+touches the package's bit masks, support restriction or combinatorial
+shortcuts.
 """
 
 import itertools
@@ -113,3 +114,93 @@ def fibonacci(m):
     for _ in range(m):
         a, b = b, a + b
     return a
+
+
+# ----------------------------------------------------- dense 2^N x 2^N routes
+
+
+def dense_hamiltonian(n, gap=1.0):
+    """Total Hamiltonian as a dense complex matrix of basis-string energies."""
+    return np.diag([complex(string_energy(s, gap)) for s in all_strings(n)])
+
+
+def eigh_entropy(rho):
+    """Von Neumann entropy from a full complex eigendecomposition (1e-12 clip)."""
+    w = np.linalg.eigh(np.asarray(rho, dtype=complex))[0]
+    w = w[w > 1e-12]
+    return float(-(w * np.log(w)).sum())
+
+
+def eigh_coherence(rho):
+    return eigh_entropy(np.diag(np.diag(rho))) - eigh_entropy(rho)
+
+
+def relative_entropy(rho, sigma):
+    """
+    Quantum relative entropy Tr(rho ln rho) - Tr(rho ln sigma) in nats, from
+    full eigendecompositions. sigma must have full support.
+    """
+    w_s, v_s = np.linalg.eigh(sigma)
+    if w_s.min() <= 1e-12:
+        raise ValueError("reference state must have full support")
+    log_sigma = (v_s * np.log(w_s)) @ v_s.conj().T
+    return float(-eigh_entropy(rho) - np.trace(rho @ log_sigma).real)
+
+
+def single_marginal(rho, n, which):
+    """2x2 reduced matrix of TLS `which` (1-based) by summing over the others."""
+    t = np.asarray(rho).reshape([2] * (2 * n))
+    i = which - 1
+    t = np.moveaxis(t, (i, n + i), (0, 1)).reshape(2, 2, 2 ** (n - 1), 2 ** (n - 1))
+    return np.einsum("abkk->ab", t)
+
+
+def mutual_coherence_from_relative_entropies(rho, n):
+    """
+    Mutual coherence as the gap between two relative-entropy distances:
+    distance of rho to the product of its marginals, minus the distance of
+    the dephased rho to the product of the dephased marginals. Requires
+    non-degenerate marginals (full-support reference products).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    marginals = [single_marginal(rho, n, k) for k in range(1, n + 1)]
+    product = product_diag = np.ones((1, 1), dtype=complex)
+    for m in marginals:
+        product = np.kron(product, m)
+        product_diag = np.kron(product_diag, np.diag(np.diag(m)))
+    coherent_part = relative_entropy(rho, product)
+    diagonal_part = relative_entropy(np.diag(np.diag(rho)), product_diag)
+    return coherent_part - diagonal_part
+
+
+def dense_report(n, p_list, survives, pre_eps=None, post_eps=None, gap=1.0):
+    """
+    (p_s, e0, ef, c0, cf, c0_loc, cf_loc) of one protocol run computed the
+    dense way: a complex product density matrix, the full projector, the
+    dephasing factor of every matrix element, a dense Hamiltonian and full
+    complex eigendecompositions.
+    """
+    pre = [1.0] * n if pre_eps is None else list(pre_eps)
+    rho0 = np.ones((1, 1), dtype=complex)
+    for p, e in zip(p_list, pre):
+        x = e * math.sqrt(p * (1.0 - p))
+        rho0 = np.kron(rho0, np.array([[1.0 - p, x], [x, p]], dtype=complex))
+    strings = all_strings(n)
+    proj = np.diag([1.0 if survives(s) else 0.0 for s in strings]).astype(complex)
+    p_s = float(np.trace(proj @ rho0).real)
+    rho_f = proj @ rho0 @ proj / p_s
+    if post_eps is not None:
+        factor = np.array([
+            [math.prod(e for a, b, e in zip(s, t, post_eps) if a != b) for t in strings]
+            for s in strings
+        ])
+        rho_f = rho_f * factor
+    h = dense_hamiltonian(n, gap)
+    out = [p_s]
+    out += [float(np.trace(r @ h).real) for r in (rho0, rho_f)]
+    out += [eigh_coherence(r) for r in (rho0, rho_f)]
+    out += [
+        sum(eigh_coherence(single_marginal(r, n, k)) for k in range(1, n + 1))
+        for r in (rho0, rho_f)
+    ]
+    return tuple(out)

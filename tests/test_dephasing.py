@@ -11,7 +11,7 @@ from cohsynth.states import (
     QuantumState,
     SystemSpec,
     TlsParams,
-    hamiltonian,
+    hamiltonian_diagonal,
     mixed_product_state,
     pure_product_state,
     uniform_params,
@@ -95,7 +95,7 @@ def test_channel_commutes_with_projectors(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_energy_invariance(n):
-    h = hamiltonian(SystemSpec(n))
+    h = hamiltonian_diagonal(SystemSpec(n))
     state = random_state(n)
     eps = RNG.uniform(0.0, 1.0, size=n).tolist()
     out = dephase_local(state, eps)

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cohsynth import linalg
 from cohsynth.errors import InvalidStateError
+
+from oracles import eigh_entropy
 
 RNG = np.random.default_rng(42)
 
@@ -120,10 +125,74 @@ def test_dephase_full_idempotent_and_entropy_increasing(n):
 
 def test_spectrum_sorted_descending():
     rho = linalg.random_density_matrix(3, RNG)
-    w, v = linalg.spectrum(rho)
+    w = linalg.spectrum(rho)
+    assert w.shape == (8,) and w.dtype == np.float64
     assert all(a >= b for a, b in zip(w, w[1:]))
-    reconstructed = (v * w) @ v.conj().T
-    assert np.max(np.abs(reconstructed - rho)) < 1e-12
+    assert np.max(np.abs(w - np.sort(np.linalg.eigh(rho)[0])[::-1])) < 1e-14
+
+
+def _block_supported(n, support, rng, complex_entries, rank=None):
+    """Random density matrix of the given rank on the given basis indices, zero elsewhere."""
+    k = len(support)
+    g = rng.standard_normal((k, rank or k))
+    if complex_entries:
+        g = g + 1j * rng.standard_normal(g.shape)
+    block = g @ g.conj().T
+    rho = np.zeros((2**n, 2**n), dtype=block.dtype)
+    rho[np.ix_(support, support)] = block / np.trace(block).real
+    return rho
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_support_restricted_entropy_matches_dense(n, seed, complex_entries):
+    rng = np.random.default_rng(seed)
+    keep = rng.random(2**n) < 0.6
+    keep[rng.integers(2**n)] = True
+    support = np.flatnonzero(keep)
+    # a rank-deficient block keeps some zero eigenvalues inside the support
+    rank = int(rng.integers(1, len(support) + 1))
+    rho = _block_supported(n, support, rng, complex_entries, rank)
+    assert abs(linalg.von_neumann_entropy(rho) - eigh_entropy(rho)) < 1e-12
+
+
+def test_entropy_keeps_real_block_real(monkeypatch):
+    rho = _block_supported(3, [1, 2, 5], RNG, complex_entries=False)
+    seen = []
+    original = linalg.spectrum
+    monkeypatch.setattr(linalg, "spectrum", lambda m: seen.append(m) or original(m))
+    linalg.von_neumann_entropy(rho)
+    assert [m.shape for m in seen] == [(3, 3)]
+    assert seen[0].dtype == np.float64
+
+
+def test_entropy_rejects_nonzero_row_on_zero_diagonal():
+    rho = np.diag([0.5, 0.0, 0.5])
+    rho[0, 1] = rho[1, 0] = 0.1
+    with pytest.raises(InvalidStateError):
+        linalg.von_neumann_entropy(rho)
+    one_sided = np.diag([0.5, 0.0, 0.5])
+    one_sided[2, 1] = 0.1
+    with pytest.raises(InvalidStateError):
+        linalg.von_neumann_entropy(one_sided)
+    with pytest.raises(InvalidStateError):
+        linalg.von_neumann_entropy(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_spectrum_matches_dense_kron(n):
+    factors = []
+    for _ in range(n):
+        p, eps = RNG.uniform(0.0, 1.0, size=2)
+        x = eps * math.sqrt(p * (1 - p))
+        factors.append(np.array([[1 - p, x], [x, p]]))
+    dense = linalg.kron_all(factors)
+    expected = np.sort(np.linalg.eigvalsh(dense))[::-1]
+    assert np.max(np.abs(linalg.product_spectrum(factors) - expected)) < 1e-14
 
 
 def test_system_size_cap(monkeypatch):
@@ -133,3 +202,14 @@ def test_system_size_cap(monkeypatch):
         linalg.check_system_size(6)
     monkeypatch.delenv("COHSYNTH_MAX_TLS")
     assert linalg.max_tls() == 14
+
+
+def test_system_size_cap_names_bad_value(monkeypatch):
+    monkeypatch.setenv("COHSYNTH_MAX_TLS", "abc")
+    with pytest.raises(ValueError, match="COHSYNTH_MAX_TLS='abc'"):
+        linalg.max_tls()
+
+
+def test_entropy_of_pure_distribution_is_positive_zero():
+    value = linalg.entropy_of_probabilities(np.array([1.0]))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0

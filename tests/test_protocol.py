@@ -1,8 +1,9 @@
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohsynth.closedform import count_no_adjacent_ground
@@ -24,7 +25,14 @@ from cohsynth.states import (
     uniform_params,
 )
 
-from oracles import all_strings, brute_protocol, chain_survives, fibonacci
+from oracles import (
+    all_strings,
+    brute_protocol,
+    chain_survives,
+    dense_report,
+    fibonacci,
+    global_survives,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -153,9 +161,17 @@ def test_rus_examples():
 
 
 @given(st.floats(min_value=0.01, max_value=0.99), st.integers(min_value=1, max_value=200))
+@example(0.99, 154)  # (1 - p_s)^(r+1) is the first subnormal
+@example(0.99, 162)  # both sides underflow to 0.0
 @settings(max_examples=40, deadline=None)
 def test_rus_monotone_in_repetitions(p_s, r):
-    assert rus_failure_probability(p_s, r + 1) < rus_failure_probability(p_s, r)
+    later = rus_failure_probability(p_s, r + 1)
+    earlier = rus_failure_probability(p_s, r)
+    if later >= sys.float_info.min:
+        assert later < earlier
+    else:
+        # below the normal range the power loses precision and may reach 0.0
+        assert 0.0 <= later <= earlier
 
 
 def test_run_experiment_even_gains():
@@ -197,3 +213,28 @@ def test_heterogeneous_excitations_supported():
     assert abs(rep.p_s - ps_ref) < 1e-12
     assert abs(rep.ef - ef_ref) < 1e-12
     assert abs(rep.cf - cf_ref) < 1e-12
+
+
+_eps_lists = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8)
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.lists(st.floats(min_value=0.005, max_value=0.95), min_size=8, max_size=8),
+    st.sampled_from(["chain", "global"]),
+    st.sampled_from(["pre", "post", "both"]),
+    _eps_lists,
+    _eps_lists,
+)
+@settings(max_examples=30, deadline=None)
+def test_dephased_cells_match_dense_report(n, p_list, plan_kind, sides, pre, post):
+    p_list, pre, post = p_list[:n], pre[:n], post[:n]
+    pre = None if sides == "post" else tuple(pre)
+    post = None if sides == "pre" else tuple(post)
+    plan = MeasurementPlan.chain(n) if plan_kind == "chain" else MeasurementPlan.global_protocol()
+    survives = chain_survives if plan_kind == "chain" else global_survives
+    spec = SystemSpec(n)
+    rep = run_experiment(spec, [TlsParams(p) for p in p_list], plan, DephasingSpec(pre, post))
+    got = (rep.p_s, rep.e0, rep.ef, rep.c0, rep.cf, rep.c0_loc, rep.cf_loc)
+    want = dense_report(n, p_list, survives, pre, post)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12

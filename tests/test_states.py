@@ -10,7 +10,6 @@ from cohsynth.states import (
     SystemSpec,
     TlsParams,
     binary_entropy,
-    hamiltonian,
     hamiltonian_diagonal,
     initial_coherence,
     initial_energy,
@@ -19,17 +18,20 @@ from cohsynth.states import (
     uniform_params,
 )
 
-from oracles import binomial_initial_coherence
+from oracles import binomial_initial_coherence, dense_hamiltonian
 
 
 def test_single_tls_hamiltonian_ordering():
-    h = hamiltonian(SystemSpec(1, energy_gap=2.0))
-    assert np.allclose(h, np.diag([-1.0, 1.0]))
+    h = hamiltonian_diagonal(SystemSpec(1, energy_gap=2.0))
+    assert np.array_equal(h, [-1.0, 1.0])
+    assert np.array_equal(np.diag(dense_hamiltonian(1, gap=2.0)), h)
 
 
 def test_two_tls_hamiltonian():
-    h = hamiltonian(SystemSpec(2))
-    assert np.allclose(h, np.diag([-1.0, 0.0, 0.0, 1.0]))
+    h = hamiltonian_diagonal(SystemSpec(2))
+    assert np.array_equal(h, [-1.0, 0.0, 0.0, 1.0])
+    for n in (3, 5):
+        assert np.array_equal(np.diag(dense_hamiltonian(n)), hamiltonian_diagonal(SystemSpec(n)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -115,14 +117,14 @@ def test_initial_energy_examples():
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.8])
 def test_energy_invariant_under_dephasing(p, epsilon):
     spec = SystemSpec(3)
-    h = hamiltonian(spec)
+    h = hamiltonian_diagonal(spec)
     mixed = mixed_product_state(spec, uniform_params(3, p, epsilon))
     assert abs(measures.average_energy(mixed, h) - initial_energy(spec, p)) < 1e-12
 
 
 def test_energy_invariant_for_heterogeneous_inputs():
     spec = SystemSpec(3)
-    h = hamiltonian(spec)
+    h = hamiltonian_diagonal(spec)
     params_pure = [TlsParams(0.1), TlsParams(0.4), TlsParams(0.7)]
     params_mixed = [TlsParams(0.1, 0.2), TlsParams(0.4, 0.9), TlsParams(0.7, 0.0)]
     e_pure = measures.average_energy(pure_product_state(spec, params_pure), h)
@@ -153,6 +155,43 @@ def test_quantum_state_validation():
         QuantumState.mixed(np.array([[0.5, 1.0], [0.0, 0.5]]), 1)
     with pytest.raises(InvalidStateError):
         QuantumState.mixed(np.diag([0.9, 0.9]), 1)
+
+
+def test_product_states_are_real_and_carry_their_factors():
+    spec = SystemSpec(3)
+    params = [TlsParams(0.2, 0.5), TlsParams(0.5, 0.9), TlsParams(0.8, 0.0)]
+    pure = pure_product_state(spec, params)
+    mixed = mixed_product_state(spec, params)
+    assert pure.vector.dtype == np.float64 and mixed.matrix.dtype == np.float64
+    for state in (pure, mixed):
+        assert len(state.product_factors) == 3
+        for tls, factor in enumerate(state.product_factors, start=1):
+            assert factor.shape == (2, 2)
+            assert state.marginal(tls) is factor
+    x = 0.5 * math.sqrt(0.2 * 0.8)
+    assert np.array_equal(mixed.product_factors[0], [[0.8, x], [x, 0.2]])
+
+
+def test_derived_states_drop_the_factors():
+    from cohsynth.dephasing import dephase_local
+    from cohsynth.protocol import MeasurementPlan, apply_protocol
+
+    spec = SystemSpec(3)
+    for state in (pure_product_state(spec, uniform_params(3, 0.2)),
+                  mixed_product_state(spec, uniform_params(3, 0.2, 0.7))):
+        final = apply_protocol(state, MeasurementPlan.chain(3)).final_state
+        assert final.product_factors is None
+        assert dephase_local(state, [0.5] * 3).product_factors is None
+    copied = mixed_product_state(spec, uniform_params(3, 0.2)).matrix
+    assert QuantumState.mixed(copied, 3).product_factors is None
+
+
+def test_quantum_state_keeps_real_input_real():
+    assert QuantumState.pure(np.array([0, 1]), 1).vector.dtype == np.float64
+    assert QuantumState.mixed(np.eye(2) / 2, 1).matrix.dtype == np.float64
+    assert QuantumState.pure(np.array([0, 1j]), 1).vector.dtype == np.complex128
+    rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    assert QuantumState.mixed(rho, 1).matrix.dtype == np.complex128
 
 
 def test_marginal_matches_partial_trace():

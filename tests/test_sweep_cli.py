@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from cohsynth.sweep import (
     sweep_fieldnames,
     write_records,
 )
+
+
+REFERENCE_TABLES = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def read_csv(path):
@@ -149,6 +153,49 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     out2 = tmp_path / "rows2.json"
     assert main(["sweep", "--config", str(cfg_path), "--n", "2", "--out", str(out2), "--jobs", "1"]) == 0
     assert len(json.loads(out2.read_text())) == 1
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"protcol": "global", "n": 4, "p": 0.05}))
+    assert main(["single", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'protcol'" in err and "unknown key" in err
+    cfg_path.write_text(json.dumps([4, 0.05]))
+    assert main(["single", "--config", str(cfg_path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_eps_list_matches_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    config = {"n": 3, "p": 0.05, "pre_eps": [0.9, 0.8, 1.0], "post_eps": 0.7}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["single", "--config", str(cfg_path)]) == 0
+    from_config = capsys.readouterr().out
+    flags = ["--n", "3", "--p", "0.05", "--pre-eps", "0.9,0.8,1", "--post-eps", "0.7"]
+    assert main(["single", *flags]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def test_bad_max_tls_value_is_named(monkeypatch, capsys):
+    monkeypatch.setenv("COHSYNTH_MAX_TLS", "abc")
+    assert main(["single", "--n", "2", "--p", "0.1"]) == 2
+    assert "COHSYNTH_MAX_TLS='abc'" in capsys.readouterr().err
+
+
+def test_single_prints_no_negative_zero(capsys):
+    assert main(["single", "--n", "2", "--p", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    record = dict(zip(out[0].split(","), out[1].split(",")))
+    assert record["c0"] == record["cf"] == "0"
+    assert "-0" not in record.values()
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4", "fig5"])
+def test_figure_tables_match_reference_bytes(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main(["figure", name, "--jobs", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (REFERENCE_TABLES / f"{name}.csv").read_bytes()
 
 
 def test_figure_fig3b_values(tmp_path):
