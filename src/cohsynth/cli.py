@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import sweep as sweep_mod
 from . import validation
 from .errors import CohsynthError, ProtocolImpossibleError
-from .sweep import FIGURE_NAMES, SweepConfig
+from .sweep import FIGURE_NAMES, OUTPUT_FORMATS, PROTOCOLS, SweepConfig
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -45,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_experiment_flags(p: argparse.ArgumentParser):
-        p.add_argument("--protocol", choices=("pairwise", "global"), default=None,
+        p.add_argument("--protocol", choices=PROTOCOLS, default=None,
                        help="measurement plan (default pairwise)")
         p.add_argument("--pre-eps", default=None,
                        help="pre-protocol dephasing factor, scalar or comma list per TLS")
@@ -54,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gap", type=float, default=None, help="energy gap (default 1)")
 
     def add_output_flags(p: argparse.ArgumentParser, with_out: bool):
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+        p.add_argument("--format", choices=OUTPUT_FORMATS, default=None,
                        help="output format (default csv)")
         p.add_argument("--config", default=None, help="JSON config file; flags win")
         if with_out:
@@ -73,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p", default=None, help="comma list of excitation probabilities")
     p_sweep.add_argument("--rus", default=None,
                          help="comma list of repeat-until-success repetition counts")
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="recorded in config; grids are deterministic")
     add_experiment_flags(p_sweep)
     add_output_flags(p_sweep, with_out=True)
 
@@ -111,8 +108,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _output_format(cfg: dict) -> str:
+    """The --format value after the config merge, checked before any cell runs."""
+    fmt = cfg.get("format") or "csv"
+    if fmt not in OUTPUT_FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}; choose from {OUTPUT_FORMATS}")
+    return fmt
+
+
 def _cmd_single(args) -> int:
     cfg = _merge_config(args)
+    fmt = _output_format(cfg)
     if cfg.get("n") is None or cfg.get("p") is None:
         print("single: --n and --p are required", file=sys.stderr)
         return 2
@@ -124,7 +130,6 @@ def _cmd_single(args) -> int:
         _eps_value(cfg.get("post_eps")),
         float(cfg.get("gap") or 1.0),
     )
-    fmt = cfg.get("format") or "csv"
     sys.stdout.write(sweep_mod.render_records(sweep_mod.SWEEP_FIELDS, [record], fmt))
     return 0
 
@@ -143,39 +148,37 @@ def _sweep_config(cfg: dict) -> SweepConfig:
         pre_epsilon=_eps_value(cfg.get("pre_eps")),
         post_epsilon=_eps_value(cfg.get("post_eps")),
         rus_repetitions=rus,
-        output_format=cfg.get("format") or "csv",
-        output_path=cfg.get("out"),
-        seed=int(cfg.get("seed") or 0),
-        jobs=int(cfg["jobs"]) if cfg.get("jobs") else (os.cpu_count() or 1),
+        jobs=int(cfg.get("jobs") or 0),
         energy_gap=float(cfg.get("gap") or 1.0),
     )
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _sweep_config(_merge_config(args))
-    if not cfg.output_path:
+    merged = _merge_config(args)
+    fmt = _output_format(merged)
+    cfg = _sweep_config(merged)
+    out = merged.get("out")
+    if not out:
         print("sweep: --out is required", file=sys.stderr)
         return 2
     records = sweep_mod.run_sweep(cfg)
-    fields = sweep_mod.sweep_fieldnames(cfg)
-    sweep_mod.write_records(cfg.output_path, fields, records, cfg.output_format)
-    print(f"wrote {len(records)} rows to {cfg.output_path}")
+    sweep_mod.write_records(out, sweep_mod.sweep_fieldnames(cfg), records, fmt)
+    print(f"wrote {len(records)} rows to {out}")
     return 0
 
 
 def _cmd_figure(args) -> int:
     cfg = _merge_config(args)
-    fmt = cfg.get("format") or "csv"
+    fmt = _output_format(cfg)
     out = cfg.get("out") or f"{args.name}.{fmt}"
-    jobs = int(cfg["jobs"]) if cfg.get("jobs") else (os.cpu_count() or 1)
-    fields, records = sweep_mod.figure_rows(args.name, jobs=jobs)
+    fields, records = sweep_mod.figure_rows(args.name, jobs=int(cfg.get("jobs") or 0))
     sweep_mod.write_records(out, fields, records, fmt)
     print(f"wrote {len(records)} rows to {out}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    cfg = _merge_config(args) if getattr(args, "config", None) else vars(args)
+    cfg = _merge_config(args)
     seed = int(cfg.get("seed") or 7)
     samples = int(cfg.get("samples") or 200)
     results = validation.run_all(seed=seed, samples=samples)

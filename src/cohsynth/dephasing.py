@@ -35,10 +35,6 @@ class DephasingSpec:
     post: tuple[float, ...] | None = None
 
     @staticmethod
-    def none() -> "DephasingSpec":
-        return DephasingSpec()
-
-    @staticmethod
     def uniform(n: int, pre: float | None = None, post: float | None = None) -> "DephasingSpec":
         return DephasingSpec(
             pre=None if pre is None else (float(pre),) * n,
@@ -46,13 +42,9 @@ class DephasingSpec:
         )
 
     def validated(self, n: int) -> "DephasingSpec":
-        for name, side in (("pre", self.pre), ("post", self.post)):
-            if side is None:
-                continue
-            if len(side) != n:
-                raise ValueError(f"{name} dephasing list has {len(side)} entries, expected {n}")
-            if any(not 0.0 <= e <= 1.0 for e in side):
-                raise ValueError(f"{name} dephasing factors must lie in [0, 1]")
+        for side in (self.pre, self.post):
+            if side is not None:
+                _check_eps(side, n)
         return self
 
 
@@ -60,7 +52,7 @@ def _check_eps(eps: Sequence[float], n: int) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (n,):
         raise ValueError(f"expected {n} dephasing factors, got {eps.shape}")
-    if eps.min() < 0.0 or eps.max() > 1.0:
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError("dephasing factors must lie in [0, 1]")
     return eps
 

@@ -10,7 +10,7 @@ Matrices may be real or complex; every eigensolve goes through
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,53 +43,9 @@ def check_system_size(n: int) -> None:
         )
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("kron expects square matrices")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("kron expects square matrices")
-    return np.kron(a, b)
-
-
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product; factor 0 owns the most significant bits."""
-    out: np.ndarray | None = None
-    for f in factors:
-        out = np.asarray(f) if out is None else kron(out, f)
-    if out is None:
-        raise ValueError("kron_all needs at least one factor")
-    return out
-
-
 def bit_of(index: int | np.ndarray, tls: int, n: int):
     """Bit (0 = ground, 1 = excited) of TLS `tls` (1-based) in basis index."""
     return (index >> (n - tls)) & 1
-
-
-def partial_trace(rho: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
-    """Trace out every TLS not in `keep` (1-based indices, ascending output order)."""
-    rho = np.asarray(rho)
-    keep_sorted = sorted(set(keep))
-    if not keep_sorted:
-        raise ValueError("keep must be a nonempty set of TLS indices")
-    if keep_sorted[0] < 1 or keep_sorted[-1] > n:
-        raise ValueError(f"TLS indices {keep_sorted} out of range 1..{n}")
-    if rho.shape != (2**n, 2**n):
-        raise ValueError(f"expected a {2**n}x{2**n} matrix for n={n}")
-    tensor = rho.reshape([2] * (2 * n))
-    traced = 0
-    for tls in range(n, 0, -1):
-        if tls in keep_sorted:
-            continue
-        axis = tls - 1
-        rem = n - traced
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + rem)
-        traced += 1
-    d = 2 ** len(keep_sorted)
-    return tensor.reshape(d, d)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -154,14 +110,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
             raise InvalidStateError("trace 0 != 1")
         rho = rho[np.ix_(support, support)]
     return entropy_of_probabilities(spectrum(rho))
-
-
-def dephase_full(rho: np.ndarray) -> np.ndarray:
-    """Keep the diagonal, zero everything else."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("dephase_full expects a square matrix")
-    return np.diag(np.diag(rho))
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

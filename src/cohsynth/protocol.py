@@ -73,14 +73,15 @@ class MeasurementPlan:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """Success probability, conditional state, and the surviving basis set."""
+    """Success probability, conditional state, and the surviving basis strings."""
 
     success_probability: float
     final_state: QuantumState
-    success_mask: frozenset[int]
+    success_mask: np.ndarray
 
 
-def _mask_array(plan: MeasurementPlan, n: int) -> np.ndarray:
+def success_mask(plan: MeasurementPlan, n: int) -> np.ndarray:
+    """Boolean array over the 2^N basis indices: True where every projector of the plan passes."""
     plan.validate(n)
     idx = np.arange(2**n)
     if plan.kind == GLOBAL:
@@ -92,11 +93,6 @@ def _mask_array(plan: MeasurementPlan, n: int) -> np.ndarray:
     return alive
 
 
-def success_mask(plan: MeasurementPlan, n: int) -> frozenset[int]:
-    """Basis indices that survive every projector of the plan."""
-    return frozenset(int(i) for i in np.nonzero(_mask_array(plan, n))[0])
-
-
 def apply_protocol(state: QuantumState, plan: MeasurementPlan) -> ProtocolOutcome:
     """
     Project onto the surviving subspace and renormalise.
@@ -104,22 +100,17 @@ def apply_protocol(state: QuantumState, plan: MeasurementPlan) -> ProtocolOutcom
     Raises ProtocolImpossibleError when the input carries (numerically) no
     weight on the surviving set, e.g. for p = 0 inputs.
     """
-    alive = _mask_array(plan, state.n)
+    alive = success_mask(plan, state.n)
+    p_s = float(state.populations()[alive].sum())
+    if p_s <= _MIN_SUCCESS_WEIGHT:
+        raise ProtocolImpossibleError("no weight on the success subspace")
     if state.is_pure:
-        weights = np.abs(state.vector) ** 2
-        p_s = float(weights[alive].sum())
-        if p_s <= _MIN_SUCCESS_WEIGHT:
-            raise ProtocolImpossibleError("no weight on the success subspace")
         vec = np.where(alive, state.vector, 0.0) / np.sqrt(p_s)
         final = QuantumState.pure(vec, state.n)
     else:
-        p_s = float(np.diag(state.matrix).real[alive].sum())
-        if p_s <= _MIN_SUCCESS_WEIGHT:
-            raise ProtocolImpossibleError("no weight on the success subspace")
         rho = np.where(np.outer(alive, alive), state.matrix, 0.0) / p_s
         final = QuantumState.mixed(rho, state.n)
-    mask = frozenset(int(i) for i in np.nonzero(alive)[0])
-    return ProtocolOutcome(p_s, final, mask)
+    return ProtocolOutcome(p_s, final, alive)
 
 
 def rus_failure_probability(p_s: float, repetitions: int) -> float:
@@ -147,7 +138,7 @@ def run_experiment(
     """
     if len(params) != spec.n:
         raise ValueError(f"expected {spec.n} TlsParams, got {len(params)}")
-    deph = (dephasing or DephasingSpec.none()).validated(spec.n)
+    deph = (dephasing or DephasingSpec()).validated(spec.n)
 
     pre = [1.0] * spec.n if deph.pre is None else list(deph.pre)
     eps_total = [t.epsilon * e for t, e in zip(params, pre)]

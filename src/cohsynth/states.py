@@ -82,27 +82,25 @@ class QuantumState:
         self._factors: tuple[np.ndarray, ...] | None = None
 
     @classmethod
-    def pure(cls, vector: np.ndarray, n: int, *, validate: bool = True) -> "QuantumState":
+    def pure(cls, vector: np.ndarray, n: int) -> "QuantumState":
         vector = _real_or_complex(vector)
         if vector.shape != (2**n,):
             raise InvalidStateError(f"expected a vector of length {2**n}")
-        if validate:
-            norm = np.linalg.norm(vector)
-            if abs(norm - 1.0) > 1e-12:
-                raise InvalidStateError(f"norm {norm!r} != 1 beyond 1e-12")
+        norm = np.linalg.norm(vector)
+        if abs(norm - 1.0) > 1e-12:
+            raise InvalidStateError(f"norm {norm!r} != 1 beyond 1e-12")
         return cls(n, vector, None)
 
     @classmethod
-    def mixed(cls, matrix: np.ndarray, n: int, *, validate: bool = True) -> "QuantumState":
+    def mixed(cls, matrix: np.ndarray, n: int) -> "QuantumState":
         matrix = _real_or_complex(matrix)
         if matrix.shape != (2**n, 2**n):
             raise InvalidStateError(f"expected a {2**n}x{2**n} matrix")
-        if validate:
-            if not linalg.is_hermitian(matrix):
-                raise InvalidStateError("density matrix is not Hermitian")
-            tr = np.trace(matrix).real
-            if abs(tr - 1.0) > 1e-10:
-                raise InvalidStateError(f"trace {tr!r} != 1 beyond 1e-10")
+        if not linalg.is_hermitian(matrix):
+            raise InvalidStateError("density matrix is not Hermitian")
+        tr = np.trace(matrix).real
+        if abs(tr - 1.0) > 1e-10:
+            raise InvalidStateError(f"trace {tr!r} != 1 beyond 1e-10")
         return cls(n, None, matrix)
 
     @property
@@ -136,12 +134,16 @@ class QuantumState:
             raise ValueError(f"TLS index {tls} out of range 1..{self.n}")
         if self._factors is not None:
             return self._factors[tls - 1]
+        # pair every index with the TLS in |g> (g) with its partner in |e> (e)
+        bit = 1 << (self.n - tls)
+        idx = np.arange(self.dim)
+        g = idx[(idx & bit) == 0]
+        e = g | bit
         if self.is_pure:
-            # group the chosen TLS axis in front, contract the rest
-            t = self.vector.reshape([2] * self.n)
-            t = np.moveaxis(t, tls - 1, 0).reshape(2, -1)
+            t = np.stack([self.vector[g], self.vector[e]])
             return t @ t.conj().T
-        return linalg.partial_trace(self.matrix, {tls}, self.n)
+        m = self.matrix
+        return np.array([[m[g, g].sum(), m[g, e].sum()], [m[e, g].sum(), m[e, e].sum()]])
 
 
 def hamiltonian_diagonal(spec: SystemSpec) -> np.ndarray:
@@ -186,10 +188,12 @@ def mixed_product_state(spec: SystemSpec, params: Sequence[TlsParams]) -> Quantu
     """
     _check_params(spec, params)
     singles = []
+    matrix = np.ones((1, 1))
     for t in params:
         x = t.epsilon * math.sqrt(t.p * (1.0 - t.p))
         singles.append(np.array([[1.0 - t.p, x], [x, t.p]]))
-    state = QuantumState.mixed(linalg.kron_all(singles), spec.n)
+        matrix = np.kron(matrix, singles[-1])
+    state = QuantumState.mixed(matrix, spec.n)
     state._factors = tuple(singles)
     return state
 

@@ -10,7 +10,6 @@ so a given config always produces byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +28,8 @@ SWEEP_FIELDS = [
 RUS_FIELDS = SWEEP_FIELDS + ["r", "p_f"]
 
 FIGURE_NAMES = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "figA")
+OUTPUT_FORMATS = ("csv", "json")
+PROTOCOLS = ("pairwise", "global")
 
 _FIG_P_VALUES = (0.005, 0.01, 0.05)
 _FIG_N_VALUES = tuple(range(2, 9))
@@ -36,7 +37,7 @@ _FIG_N_VALUES = tuple(range(2, 9))
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One grid of experiment cells plus output options."""
+    """One grid of experiment cells and how many worker processes evaluate it."""
 
     n_values: tuple[int, ...]
     p_values: tuple[float, ...]
@@ -44,10 +45,7 @@ class SweepConfig:
     pre_epsilon: float | tuple[float, ...] | None = None
     post_epsilon: float | tuple[float, ...] | None = None
     rus_repetitions: tuple[int, ...] = ()
-    output_format: str = "csv"
-    output_path: str | None = None
-    seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # 0: one worker per available core
     energy_gap: float = 1.0
 
     def __post_init__(self):
@@ -55,10 +53,8 @@ class SweepConfig:
             raise ValueError("empty sweep grid")
         if any(not 0.0 < p < 1.0 for p in self.p_values):
             raise ValueError("sweep p values must lie in (0, 1)")
-        if self.protocol not in ("pairwise", "global"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}")
 
 
 def _eps_tuple(eps: float | tuple[float, ...] | None, n: int) -> tuple[float, ...] | None:
@@ -103,6 +99,8 @@ def evaluate_cell(
     spec = SystemSpec(n, energy_gap)
     pre = _eps_tuple(pre_epsilon, n)
     post = _eps_tuple(post_epsilon, n)
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     plan = MeasurementPlan.chain(n) if protocol == "pairwise" else MeasurementPlan.global_protocol()
     report = run_experiment(
         spec, [TlsParams(p)] * n, plan, DephasingSpec(pre=pre, post=post)
@@ -237,28 +235,20 @@ def _json_value(value):
     return value
 
 
-def write_records(path: str, fieldnames: list[str], records: list[dict], fmt: str) -> None:
-    """Write records as CSV (12 significant digits) or JSON."""
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fieldnames)
-            for row in records:
-                writer.writerow([_format_value(row.get(f)) for f in fieldnames])
-    elif fmt == "json":
-        payload = [{f: _json_value(row.get(f)) for f in fieldnames} for row in records]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
-
-
 def render_records(fieldnames: list[str], records: list[dict], fmt: str) -> str:
-    """Same serialization as write_records, returned as a string."""
+    """Serialize records as CSV (12 significant digits) or JSON."""
     if fmt == "csv":
         lines = [",".join(fieldnames)]
         lines += [",".join(_format_value(r.get(f)) for f in fieldnames) for r in records]
         return "\n".join(lines) + "\n"
-    payload = [{f: _json_value(r.get(f)) for f in fieldnames} for r in records]
-    return json.dumps(payload, indent=2) + "\n"
+    if fmt == "json":
+        payload = [{f: _json_value(r.get(f)) for f in fieldnames} for r in records]
+        return json.dumps(payload, indent=2) + "\n"
+    raise ValueError(f"unknown output format {fmt!r}; choose from {OUTPUT_FORMATS}")
+
+
+def write_records(path: str, fieldnames: list[str], records: list[dict], fmt: str) -> None:
+    """Write the text of render_records to path."""
+    text = render_records(fieldnames, records, fmt)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)

@@ -147,6 +147,44 @@ def relative_entropy(rho, sigma):
     return float(-eigh_entropy(rho) - np.trace(rho @ log_sigma).real)
 
 
+def kron_all(factors):
+    """Left-to-right Kronecker product; factor 0 owns the most significant bits."""
+    out = np.ones((1, 1))
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def partial_trace(rho, keep, n):
+    """Trace out every TLS not in `keep` (1-based indices, ascending output order)."""
+    rho = np.asarray(rho)
+    keep_sorted = sorted(set(keep))
+    if not keep_sorted:
+        raise ValueError("keep must be a nonempty set of TLS indices")
+    if keep_sorted[0] < 1 or keep_sorted[-1] > n:
+        raise ValueError(f"TLS indices {keep_sorted} out of range 1..{n}")
+    if rho.shape != (2**n, 2**n):
+        raise ValueError(f"expected a {2**n}x{2**n} matrix for n={n}")
+    tensor = rho.reshape([2] * (2 * n))
+    traced = 0
+    for tls in range(n, 0, -1):
+        if tls in keep_sorted:
+            continue
+        axis = tls - 1
+        tensor = np.trace(tensor, axis1=axis, axis2=axis + n - traced)
+        traced += 1
+    d = 2 ** len(keep_sorted)
+    return tensor.reshape(d, d)
+
+
+def dephase_full(rho):
+    """Keep the diagonal, zero everything else."""
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("dephase_full expects a square matrix")
+    return np.diag(np.diag(rho))
+
+
 def single_marginal(rho, n, which):
     """2x2 reduced matrix of TLS `which` (1-based) by summing over the others."""
     t = np.asarray(rho).reshape([2] * (2 * n))

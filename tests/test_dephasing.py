@@ -17,6 +17,8 @@ from cohsynth.states import (
     uniform_params,
 )
 
+from oracles import dephase_full
+
 RNG = np.random.default_rng(23)
 
 
@@ -29,8 +31,10 @@ def test_spec_validation():
         DephasingSpec(pre=(0.5, 0.5)).validated(3)
     with pytest.raises(ValueError):
         DephasingSpec(post=(1.2, 0.5)).validated(2)
+    with pytest.raises(ValueError):
+        DephasingSpec(pre=(float("nan"), 0.5)).validated(2)
     assert DephasingSpec.uniform(3, pre=0.9).pre == (0.9, 0.9, 0.9)
-    assert DephasingSpec.none().validated(5) == DephasingSpec()
+    assert DephasingSpec().validated(5) == DephasingSpec()
 
 
 def test_unit_epsilon_is_identity():
@@ -42,7 +46,7 @@ def test_unit_epsilon_is_identity():
 def test_zero_epsilon_kills_all_coherence():
     state = pure_product_state(SystemSpec(3), uniform_params(3, 0.2))
     out = dephase_local(state, [0.0, 0.0, 0.0])
-    expected = linalg.dephase_full(state.to_density_matrix())
+    expected = dephase_full(state.to_density_matrix())
     assert np.max(np.abs(out.matrix - expected)) < 1e-15
     assert measures.rel_entropy_coherence(out) == 0.0
 

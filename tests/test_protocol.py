@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cohsynth import protocol
 from cohsynth.closedform import count_no_adjacent_ground
 from cohsynth.dephasing import DephasingSpec
 from cohsynth.errors import ProtocolImpossibleError
@@ -37,28 +38,35 @@ from oracles import (
 RNG = np.random.default_rng(11)
 
 
+def _survivor_indices(n, survives):
+    """Basis indices of the surviving strings, enumerated by the oracle."""
+    return [i for i, s in enumerate(all_strings(n)) if survives(s)]
+
+
 def test_chain_mask_two_tls():
     # only |gg> (index 0) is removed
-    assert success_mask(MeasurementPlan.chain(2), 2) == frozenset({1, 2, 3})
+    mask = success_mask(MeasurementPlan.chain(2), 2)
+    assert mask.dtype == bool and mask.shape == (4,)
+    assert list(np.flatnonzero(mask)) == [1, 2, 3] == _survivor_indices(2, chain_survives)
 
 
 def test_chain_mask_three_tls():
     # survivors: geg, gee, ege, eeg, eee
-    assert success_mask(MeasurementPlan.chain(3), 3) == frozenset({2, 3, 5, 6, 7})
+    mask = success_mask(MeasurementPlan.chain(3), 3)
+    assert list(np.flatnonzero(mask)) == [2, 3, 5, 6, 7] == _survivor_indices(3, chain_survives)
 
 
 def test_global_mask_removes_only_collective_ground():
     mask = success_mask(MeasurementPlan.global_protocol(), 4)
-    assert mask == frozenset(range(1, 16))
+    assert list(np.flatnonzero(mask)) == list(range(1, 16)) == _survivor_indices(4, global_survives)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_chain_mask_cardinality(n):
     mask = success_mask(MeasurementPlan.chain(n), n)
     by_class = sum(count_no_adjacent_ground(n, k) for k in range(n + 1))
-    assert len(mask) == by_class == fibonacci(n + 2)
-    brute = sum(1 for s in all_strings(n) if chain_survives(s))
-    assert len(mask) == brute
+    assert mask.sum() == by_class == fibonacci(n + 2)
+    assert list(np.flatnonzero(mask)) == _survivor_indices(n, chain_survives)
 
 
 def test_plan_validation():
@@ -91,13 +99,23 @@ def test_state_already_on_mask_passes_through():
     assert np.array_equal(outcome.final_state.vector, vec)
 
 
-def test_final_state_supported_on_mask():
-    state = pure_product_state(SystemSpec(5), uniform_params(5, 0.2))
-    outcome = apply_protocol(state, MeasurementPlan.chain(5))
-    dead = sorted(set(range(32)) - outcome.success_mask)
-    assert np.all(outcome.final_state.vector[dead] == 0.0)
-    weight = np.abs(state.vector[sorted(outcome.success_mask)]) ** 2
-    assert abs(outcome.success_probability - weight.sum()) < 1e-12
+def test_final_state_supported_on_mask(monkeypatch):
+    used = []
+    monkeypatch.setattr(
+        protocol, "success_mask", lambda plan, n: used.append(success_mask(plan, n)) or used[-1]
+    )
+    spec, plan = SystemSpec(5), MeasurementPlan.chain(5)
+    for state in (pure_product_state(spec, uniform_params(5, 0.2)),
+                  mixed_product_state(spec, uniform_params(5, 0.2, 0.6))):
+        outcome = apply_protocol(state, plan)
+        # the outcome carries the very boolean array the projection used
+        assert outcome.success_mask is used[-1]
+        assert outcome.success_mask.dtype == bool and outcome.success_mask.shape == (32,)
+        alive = outcome.success_mask
+        rho = outcome.final_state.to_density_matrix()
+        assert np.all(rho[~alive] == 0.0) and np.all(rho[:, ~alive] == 0.0)
+        weight = state.populations()[alive]
+        assert abs(outcome.success_probability - weight.sum()) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -18,7 +18,12 @@ from cohsynth.states import (
     uniform_params,
 )
 
-from oracles import binomial_initial_coherence, dense_hamiltonian
+from oracles import (
+    binomial_initial_coherence,
+    dense_hamiltonian,
+    partial_trace,
+    single_marginal,
+)
 
 
 def test_single_tls_hamiltonian_ordering():
@@ -194,15 +199,33 @@ def test_quantum_state_keeps_real_input_real():
     assert QuantumState.mixed(rho, 1).matrix.dtype == np.complex128
 
 
-def test_marginal_matches_partial_trace():
-    from cohsynth import linalg
+def _state_without_factors(kind, n, rng):
+    """A random state of the given kind that the marginal must compute from its entries."""
+    if kind == "pure":
+        v = rng.standard_normal(2**n)
+        return QuantumState.pure(v / np.linalg.norm(v), n)
+    g = rng.standard_normal((2**n, 2**n))
+    if kind == "complex-mixed":
+        g = g + 1j * rng.standard_normal(g.shape)
+    rho = g @ g.conj().T
+    return QuantumState.mixed(rho / np.trace(rho).real, n)
 
-    state = pure_product_state(SystemSpec(3), [TlsParams(0.2), TlsParams(0.5), TlsParams(0.8)])
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", ["product", "pure", "real-mixed", "complex-mixed"])
+def test_marginal_matches_partial_trace(kind, n):
+    rng = np.random.default_rng(100 + n)
+    if kind == "product":
+        state = pure_product_state(SystemSpec(n), [TlsParams(p) for p in rng.uniform(size=n)])
+    else:
+        state = _state_without_factors(kind, n, rng)
+        assert state.product_factors is None
     rho = state.to_density_matrix()
-    for tls in (1, 2, 3):
+    for tls in range(1, n + 1):
         direct = state.marginal(tls)
-        via_matrix = linalg.partial_trace(rho, {tls}, 3)
-        assert np.max(np.abs(direct - via_matrix)) < 1e-12
+        assert direct.shape == (2, 2)
+        assert np.max(np.abs(direct - partial_trace(rho, {tls}, n))) < 1e-12
+        assert np.max(np.abs(direct - single_marginal(rho, n, tls))) < 1e-12
 
 
 def test_binary_entropy_bounds():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cohsynth import closedform, validation
+from cohsynth import sweep as sweep_mod
 from cohsynth.cli import main
 from cohsynth.sweep import (
     SWEEP_FIELDS,
@@ -60,6 +61,10 @@ def test_sweep_config_validation():
         SweepConfig(n_values=(2,), p_values=(0.0,))
     with pytest.raises(ValueError):
         SweepConfig(n_values=(2,), p_values=(0.1,), protocol="other")
+    with pytest.raises(ValueError, match="'globl'"):
+        evaluate_cell(4, 0.05, protocol="globl")
+    with pytest.raises(ValueError, match="'xml'"):
+        write_records("unused.xml", SWEEP_FIELDS, [], "xml")
 
 
 def test_rus_sweep_appends_columns():
@@ -86,7 +91,7 @@ def test_csv_schema_and_precision(tmp_path):
 
 def test_json_schema(tmp_path):
     out = tmp_path / "rows.json"
-    cfg = SweepConfig(n_values=(3,), p_values=(0.05,), output_format="json")
+    cfg = SweepConfig(n_values=(3,), p_values=(0.05,))
     write_records(str(out), SWEEP_FIELDS, run_sweep(cfg), "json")
     payload = json.loads(out.read_text())
     assert isinstance(payload, list) and list(payload[0]) == SWEEP_FIELDS
@@ -166,6 +171,36 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_config_values_outside_the_flag_choices_exit_two(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 4, "p": 0.05, "protocol": "globl"}))
+    assert main(["single", "--config", str(cfg_path)]) == 2
+    assert "'globl'" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"n": 4, "p": 0.05, "format": "xml"}))
+    assert main(["single", "--config", str(cfg_path)]) == 2
+    assert "'xml'" in capsys.readouterr().err
+    # sweep and figure refuse the format before any cell runs
+    ran = []
+    monkeypatch.setattr(sweep_mod, "evaluate_cell", lambda *a, **k: ran.append(a))
+    out = str(tmp_path / "rows.xml")
+    assert main(["sweep", "--config", str(cfg_path), "--jobs", "1", "--out", out]) == 2
+    assert "'xml'" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"format": "xml"}))
+    assert main(["figure", "fig2", "--config", str(cfg_path), "--jobs", "1", "--out", out]) == 2
+    assert "'xml'" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_sweep_config_naming_seed_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": "2", "p": "0.05", "seed": 3}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--jobs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "unknown key" in err
+    assert not out.exists()
+
+
 def test_config_eps_list_matches_flag(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     config = {"n": 3, "p": 0.05, "pre_eps": [0.9, 0.8, 1.0], "post_eps": 0.7}
@@ -191,7 +226,7 @@ def test_single_prints_no_negative_zero(capsys):
     assert "-0" not in record.values()
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig4", "fig5"])
+@pytest.mark.parametrize("name", ["fig2", "fig3b", "fig4", "fig5", "figA"])
 def test_figure_tables_match_reference_bytes(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     assert main(["figure", name, "--jobs", "1", "--out", str(out)]) == 0
